@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/atot"
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/funclib"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -90,25 +92,10 @@ func run(modelFile, platformName string, nodes int, rc runConfig) error {
 	if err != nil {
 		return err
 	}
-	ev, err := atot.NewEvaluator(app, pl, nodes)
-	if err != nil {
-		return err
-	}
-
+	ga := atot.GAConfig{Population: rc.pop, Generations: rc.gens, Seed: rc.seed, Parallelism: rc.parallel}
 	var mapping *model.Mapping
-	switch rc.strategy {
-	case "ga":
-		var stats *atot.GAStats
-		mapping, stats, err = atot.MapGA(ev, atot.GAConfig{Population: rc.pop, Generations: rc.gens, Seed: rc.seed, Parallelism: rc.parallel})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("GA: %d generations, %d evaluations, best objective %.4g\n",
-			stats.Generations, stats.Evaluations, stats.Best.Total)
-	case "twin":
-		res, err := twin.MapGAPromote(app, pl, nodes, rc.topK,
-			atot.GAConfig{Population: rc.pop, Generations: rc.gens, Seed: rc.seed, Parallelism: rc.parallel},
-			twin.Options{Iterations: rc.iterations})
+	if rc.strategy == "twin" {
+		res, err := twin.MapGAPromote(app, pl, nodes, rc.topK, ga, twin.Options{Iterations: rc.iterations})
 		if err != nil {
 			return err
 		}
@@ -122,20 +109,25 @@ func run(modelFile, platformName string, nodes int, rc runConfig) error {
 			}
 			fmt.Printf("  %s candidate %d: twin=%v des=%v\n", mark, i, c.TwinElapsed, c.DESElapsed)
 		}
-	case "greedy":
-		if mapping, err = atot.MapGreedy(ev); err != nil {
+	} else {
+		prog, err := core.Build(core.Spec{Model: app, Platform: pl, Nodes: nodes, Mapping: rc.strategy, GA: ga})
+		if errors.Is(err, core.ErrUnknown) {
+			return cli.Usagef("%v", err)
+		}
+		if err != nil {
 			return err
 		}
-	case "roundrobin":
-		mapping = model.RoundRobin(app, nodes)
-	case "spread":
-		if mapping, err = model.SpreadParallel(app, nodes); err != nil {
-			return err
+		mapping = prog.Mapping
+		if prog.GA != nil {
+			fmt.Printf("GA: %d generations, %d evaluations, best objective %.4g\n",
+				prog.GA.Generations, prog.GA.Evaluations, prog.GA.Best.Total)
 		}
-	default:
-		return cli.Usagef("unknown strategy %q", rc.strategy)
 	}
 
+	ev, err := atot.NewEvaluator(app, pl, nodes)
+	if err != nil {
+		return err
+	}
 	cost, err := ev.Evaluate(mapping, atot.Weights{})
 	if err != nil {
 		return err

@@ -9,13 +9,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/apps"
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/funclib"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -97,17 +98,9 @@ func run(newApp string, n, threads int, out, modelFile string, summary, kinds bo
 		return nil
 	}
 	if newApp != "" {
-		var app *model.App
-		var err error
-		switch newApp {
-		case "fft2d":
-			app, err = apps.FFT2D(n, threads)
-		case "cornerturn":
-			app, err = apps.CornerTurn(n, threads)
-		case "stap":
-			app, err = apps.STAP(n, threads)
-		default:
-			return cli.Usagef("unknown benchmark %q (want fft2d, cornerturn or stap)", newApp)
+		app, err := core.NewApp(newApp, n, threads)
+		if errors.Is(err, core.ErrUnknown) {
+			return cli.Usagef("%v", err)
 		}
 		if err != nil {
 			return err

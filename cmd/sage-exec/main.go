@@ -20,6 +20,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +32,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/codegen/rtl"
 	"repro/internal/conformance"
-	"repro/internal/experiments"
+	"repro/internal/core"
 	"repro/internal/gluegen"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -194,26 +195,9 @@ func checkSeed(seed int64, opt options, stdout io.Writer) error {
 	return nil
 }
 
-// appKind maps the CLI spelling onto the experiments catalog.
-func appKind(name string) (experiments.AppKind, error) {
-	switch name {
-	case "fft2d":
-		return experiments.AppFFT2D, nil
-	case "ct", "cornerturn":
-		return experiments.AppCornerTurn, nil
-	default:
-		return "", fmt.Errorf("unknown app %q (want fft2d or ct)", name)
-	}
-}
-
 // runApp generates, verifies and (optionally) benchmarks one of the paper's
 // benchmark applications as a real executing program.
 func runApp(name string, n, nodes, threads int, platform string, opt options, stdout, stderr io.Writer) int {
-	kind, err := appKind(name)
-	if err != nil {
-		fmt.Fprintln(stderr, "sage-exec:", err)
-		return cli.ExitUsage
-	}
 	if threads <= 0 {
 		threads = nodes
 	}
@@ -225,17 +209,18 @@ func runApp(name string, n, nodes, threads int, platform string, opt options, st
 		fmt.Fprintln(stderr, "sage-exec:", err)
 		return cli.ExitUsage
 	}
-	app, err := experiments.BuildApp(kind, n, threads)
+	built, err := core.Build(core.Spec{App: name, N: n, Threads: threads, Platform: pl, Nodes: nodes, Mapping: "stagger"})
+	// stap has no hand-coded loop for the wall-clock comparison.
+	if name == "stap" || errors.Is(err, core.ErrUnknown) {
+		fmt.Fprintf(stderr, "sage-exec: unknown app %q (want fft2d or ct)\n", name)
+		return cli.ExitUsage
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "sage-exec:", err)
 		return cli.ExitFailure
 	}
-	gout, err := experiments.GenerateTablesWide(kind, pl, nodes, threads, n)
-	if err != nil {
-		fmt.Fprintln(stderr, "sage-exec:", err)
-		return cli.ExitFailure
-	}
-	prog, err := codegen.Plan(gout.Tables, opt.iterations)
+	app := built.App
+	prog, err := codegen.Plan(built.Tables(), opt.iterations)
 	if err != nil {
 		fmt.Fprintln(stderr, "sage-exec:", err)
 		return cli.ExitFailure
@@ -252,12 +237,12 @@ func runApp(name string, n, nodes, threads int, platform string, opt options, st
 			return cli.ExitFailure
 		}
 		if d := conformance.CompareOutputs(want, res.Iters[iter]); d != "" {
-			fmt.Fprintf(stderr, "sage-exec: %s iteration %d: %s\n", kind, iter, d)
+			fmt.Fprintf(stderr, "sage-exec: %s iteration %d: %s\n", name, iter, d)
 			return cli.ExitFailure
 		}
 	}
 	fmt.Fprintf(stdout, "%s n=%d nodes=%d threads=%d: %d threads, %d lanes, %d iterations verified vs oracle, wall %v\n",
-		kind, n, nodes, threads, len(prog.Threads), len(prog.Conns), opt.iterations, res.Wall.Round(time.Microsecond))
+		name, n, nodes, threads, len(prog.Threads), len(prog.Conns), opt.iterations, res.Wall.Round(time.Microsecond))
 
 	if opt.emitDir != "" {
 		src, err := codegen.EmitSource(prog)
@@ -294,7 +279,7 @@ func runApp(name string, n, nodes, threads int, platform string, opt options, st
 		fmt.Fprintln(stdout, "compiled output identical to in-process execution")
 	}
 	if opt.bench > 0 {
-		return benchApp(kind, app, prog, opt, stdout, stderr)
+		return benchApp(name, app, prog, opt, stdout, stderr)
 	}
 	return cli.ExitOK
 }
@@ -305,7 +290,7 @@ func runApp(name string, n, nodes, threads int, platform string, opt options, st
 // paper's Table-1 comparison re-run on actual execution rather than the
 // simulator — numbers land in README.md's "running generated code for
 // real" walkthrough.
-func benchApp(kind experiments.AppKind, app *model.App, prog *rtl.Program, opt options, stdout, stderr io.Writer) int {
+func benchApp(name string, app *model.App, prog *rtl.Program, opt options, stdout, stderr io.Writer) int {
 	reps := opt.bench
 	var genTotal, handTotal time.Duration
 	for r := 0; r < reps; r++ {
@@ -327,7 +312,7 @@ func benchApp(kind experiments.AppKind, app *model.App, prog *rtl.Program, opt o
 	gen := genTotal / time.Duration(reps)
 	hand := handTotal / time.Duration(reps)
 	fmt.Fprintf(stdout, "bench %s: generated %v, handcoded-loop %v, ratio %.2f (avg of %d reps, %d iterations)\n",
-		kind, gen.Round(time.Microsecond), hand.Round(time.Microsecond),
+		name, gen.Round(time.Microsecond), hand.Round(time.Microsecond),
 		float64(gen)/float64(hand), reps, opt.iterations)
 	return cli.ExitOK
 }

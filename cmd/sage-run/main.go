@@ -3,8 +3,9 @@
 // tables (or loads pre-generated table source), runs the configured number
 // of iterations, and reports period and latency per §3.3. With -viz it
 // prints the Visualizer report; with -trace-csv / -svg it exports the probe
-// events; with -trace it writes a Chrome trace-event JSON of the whole run
-// (kernel, runtime and MPI layers) for chrome://tracing or Perfetto.
+// events (all three read the run's trace collector); with -trace it writes
+// a Chrome trace-event JSON of the whole run (kernel, runtime and MPI
+// layers) for chrome://tracing or Perfetto.
 //
 // Usage:
 //
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/gluegen"
 	"repro/internal/machine"
 	"repro/internal/model"
@@ -93,58 +95,50 @@ func resolvePlatform(o options) (machine.Platform, int, error) {
 
 // loadTables obtains runtime tables: from a pre-generated table-source file
 // or by generating from a model + mapping.
-func loadTables(o options, pl machine.Platform, nodes int) (*gluegen.Tables, string, error) {
+func loadTables(o options, pl machine.Platform, nodes int) (*gluegen.Tables, error) {
 	if o.tablesFile != "" {
 		src, err := os.ReadFile(o.tablesFile)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		tables, err := gluegen.ParseTableSource(string(src))
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		if err := tables.Verify(); err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		return tables, tables.AppName, nil
+		return tables, nil
 	}
 	if o.modelFile == "" {
-		return nil, "", cli.Usagef("pass -model or -tables")
+		return nil, cli.Usagef("pass -model or -tables")
 	}
 	mf, err := os.Open(o.modelFile)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	app, err := model.ReadText(mf)
 	mf.Close()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	var mapping *model.Mapping
+	spec := core.Spec{Model: app, Platform: pl, Nodes: nodes}
 	if o.mappingFile != "" {
 		pf, err := os.Open(o.mappingFile)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		var appName string
-		mapping, appName, err = model.ReadMappingText(pf)
+		spec.Assign, spec.AssignApp, err = model.ReadMappingText(pf)
 		pf.Close()
 		if err != nil {
-			return nil, "", err
-		}
-		if appName != app.Name {
-			return nil, "", fmt.Errorf("mapping is for app %q, model is %q", appName, app.Name)
-		}
-	} else {
-		if mapping, err = model.SpreadParallel(app, nodes); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
-	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: nodes})
+	prog, err := core.Build(spec)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return out.Tables, app.Name, nil
+	return prog.Tables(), nil
 }
 
 func run(o options) error {
@@ -152,7 +146,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	tables, appName, err := loadTables(o, pl, nodes)
+	tables, err := loadTables(o, pl, nodes)
 	if err != nil {
 		return err
 	}
@@ -173,21 +167,19 @@ func run(o options) error {
 			opts.ShardWeights = w
 		}
 	}
-	var vtrace *viz.Trace
-	if o.vizReport || o.traceCSV != "" || o.svgOut != "" {
-		var hook func(sagert.Event)
-		vtrace, hook = viz.Collector()
-		opts.ProbeAll = true
-		opts.Trace = hook
-	}
-	if o.traceOut != "" {
-		opts.Collector = trace.New(appName + " on " + pl.Name)
+	wantViz := o.vizReport || o.traceCSV != "" || o.svgOut != ""
+	if wantViz || o.traceOut != "" {
+		opts.Collector = trace.New(tables.AppName + " on " + pl.Name)
 	}
 	res, err := sagert.Run(tables, pl, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("app %s on %s (%d nodes), %d iterations\n", appName, pl.Name, tables.NumNodes, o.iterations)
+	var vtrace *viz.Trace
+	if wantViz {
+		vtrace = viz.FromCollector(opts.Collector, tables)
+	}
+	fmt.Printf("app %s on %s (%d nodes), %d iterations\n", tables.AppName, pl.Name, tables.NumNodes, o.iterations)
 	fmt.Printf("  period:      %v per data set\n", res.Period)
 	fmt.Printf("  avg latency: %v\n", res.AvgLatency())
 	fmt.Printf("  elapsed:     %v virtual\n", res.Elapsed)

@@ -82,7 +82,7 @@ func TestRunFromPregeneratedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, err := loadTables(options{modelFile: modelPath}, pl, nodes)
+	tables, err := loadTables(options{modelFile: modelPath}, pl, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

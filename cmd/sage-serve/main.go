@@ -77,7 +77,15 @@ func run(addr string, cfg serve.Config, stderr io.Writer) error {
 		return err
 	}
 	s := serve.New(cfg)
-	srv := &http.Server{Handler: s}
+	// Timeouts bound what a slow or stalled client can hold: the header and
+	// body reads (run time is bounded separately by -deadline) and an idle
+	// keep-alive connection.
+	srv := &http.Server{
+		Handler:           s,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	// The listening line goes to stderr so scripts (and CI) can wait on it;
 	// it reports the resolved address, which matters with port 0.

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/gluegen"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -107,36 +108,30 @@ func predictOne(o options, app *model.App, nodes int) (*twin.Prediction, *gluege
 	if err != nil {
 		return nil, nil, err
 	}
-	var mapping *model.Mapping
+	spec := core.Spec{Model: app, Platform: pl, Nodes: nodes}
 	if o.mappingFile != "" {
 		mf, err := os.Open(o.mappingFile)
 		if err != nil {
 			return nil, nil, err
 		}
-		var appName string
-		mapping, appName, err = model.ReadMappingText(mf)
+		spec.Assign, spec.AssignApp, err = model.ReadMappingText(mf)
 		mf.Close()
 		if err != nil {
 			return nil, nil, err
 		}
-		if appName != app.Name {
-			return nil, nil, fmt.Errorf("mapping is for app %q, model is %q", appName, app.Name)
-		}
-	} else if mapping, err = model.SpreadParallel(app, nodes); err != nil {
-		return nil, nil, err
 	}
-	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: nodes})
+	prog, err := core.Build(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := twin.NewEvaluator(out.Tables, pl)
+	ev, err := twin.NewEvaluator(prog.Tables(), pl)
 	if err != nil {
 		return nil, nil, err
 	}
 	pred := ev.Predict(twin.Options{
 		Iterations: o.iterations, Sequential: o.sequential, OptimizedBuffers: o.optimized,
 	})
-	return pred, out.Tables, nil
+	return pred, prog.Tables(), nil
 }
 
 func runPredict(o options, app *model.App, w io.Writer) error {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/platforms"
 	"repro/internal/sagert"
+	"repro/internal/trace"
 	"repro/internal/viz"
 )
 
@@ -26,17 +27,18 @@ func writeTrace(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, hook := viz.Collector()
-	if _, err := sagert.Run(out.Tables, platforms.CSPI(), sagert.Options{Iterations: 2, ProbeAll: true, Trace: hook}); err != nil {
+	col := trace.New("viz")
+	if _, err := sagert.Run(out.Tables, platforms.CSPI(), sagert.Options{Iterations: 2, Collector: col}); err != nil {
 		t.Fatal(err)
 	}
+	vt := viz.FromCollector(col, out.Tables)
 	path := filepath.Join(dir, "trace.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteCSV(f); err != nil {
+	if err := vt.WriteCSV(f); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -23,7 +23,7 @@ import (
 // n is the square matrix edge (power of two); threads is the data
 // parallelism of the FFT stages.
 func FFT2D(n, threads int) (*model.App, error) {
-	if err := checkSize(n, threads); err != nil {
+	if err := CheckSize(n, threads); err != nil {
 		return nil, err
 	}
 	a := model.NewApp(fmt.Sprintf("fft2d_%d", n))
@@ -66,7 +66,7 @@ func FFT2D(n, threads int) (*model.App, error) {
 //
 //	source -> ingest identity(T, rows->rows) -> turn transpose_block(T, cols->rows) -> sink
 func CornerTurn(n, threads int) (*model.App, error) {
-	if err := checkSize(n, threads); err != nil {
+	if err := CheckSize(n, threads); err != nil {
 		return nil, err
 	}
 	a := model.NewApp(fmt.Sprintf("cornerturn_%d", n))
@@ -109,7 +109,7 @@ func CornerTurn(n, threads int) (*model.App, error) {
 //
 //	source -> window_rows -> fft_rows -> fft_cols -> mag2 -> sink
 func STAP(n, threads int) (*model.App, error) {
-	if err := checkSize(n, threads); err != nil {
+	if err := CheckSize(n, threads); err != nil {
 		return nil, err
 	}
 	a := model.NewApp(fmt.Sprintf("stap_%d", n))
@@ -156,7 +156,9 @@ func STAP(n, threads int) (*model.App, error) {
 	return finish(a)
 }
 
-func checkSize(n, threads int) error {
+// CheckSize reports whether n and threads are a valid benchmark size: a
+// power-of-two matrix edge and between 1 and n worker threads.
+func CheckSize(n, threads int) error {
 	if n < 2 || n&(n-1) != 0 {
 		return fmt.Errorf("apps: matrix edge %d must be a power of two >= 2", n)
 	}

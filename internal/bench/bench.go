@@ -435,7 +435,6 @@ func runSim(c Case) (CaseResult, error) {
 	}
 	if c.Traced {
 		opts.Collector = trace.New(c.Name)
-		opts.ProbeAll = true
 	}
 	var run *sagert.Result
 	wallNS, allocs, bytes, err := measure(func() error {

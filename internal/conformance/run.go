@@ -245,7 +245,7 @@ func (c *Case) Check(opt CheckOptions) *Failure {
 		{name: "sequential", opts: sagert.Options{Iterations: c.Iterations, Sequential: true}},
 		{name: "optimized", opts: sagert.Options{Iterations: c.Iterations, OptimizedBuffers: true}},
 		{name: "traced", opts: sagert.Options{Iterations: c.Iterations,
-			Collector: trace.New(fmt.Sprintf("conform seed %d", c.Seed)), ProbeAll: true}},
+			Collector: trace.New(fmt.Sprintf("conform seed %d", c.Seed))}},
 		{name: "faulted", opts: sagert.Options{Iterations: c.Iterations, Faults: c.Faults},
 			skip: c.Faults.Empty()},
 	}

@@ -27,7 +27,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gluegen"
 	"repro/internal/handcoded"
@@ -99,23 +99,20 @@ const (
 	AppCornerTurn AppKind = "Corner Turn"
 )
 
-// BuildApp constructs the application model for a kind; exported so the
-// real-execution driver (sage-exec) can evaluate the same model with the
-// sequential oracle it diffs the generated program against.
-func BuildApp(kind AppKind, n, threads int) (*model.App, error) {
-	return buildApp(kind, n, threads)
+// appName is a kind's benchmark name in core; an unknown kind passes
+// through for core to reject.
+func appName(kind AppKind) string {
+	if name, ok := map[AppKind]string{AppFFT2D: "fft2d", AppCornerTurn: "cornerturn"}[kind]; ok {
+		return name
+	}
+	return string(kind)
 }
 
-// buildApp constructs the application model for a kind.
-func buildApp(kind AppKind, n, threads int) (*model.App, error) {
-	switch kind {
-	case AppFFT2D:
-		return apps.FFT2D(n, threads)
-	case AppCornerTurn:
-		return apps.CornerTurn(n, threads)
-	default:
-		return nil, fmt.Errorf("experiments: unknown app %q", kind)
-	}
+// BuildApp constructs the application model for a kind; exported so the
+// real-execution benchmark can evaluate the same model with the sequential
+// oracle it diffs the generated program against.
+func BuildApp(kind AppKind, n, threads int) (*model.App, error) {
+	return core.NewApp(appName(kind), n, threads)
 }
 
 // runHand executes the hand-coded baseline under the protocol and returns
@@ -153,15 +150,7 @@ func runHand(kind AppKind, pl machine.Platform, nodes, n int, proto Protocol) (s
 // source and sink on node 0 — the deployment of §3.3's manual mapping
 // step), and runs the Alter glue generator.
 func GenerateTables(kind AppKind, pl machine.Platform, nodes, n int) (*gluegen.Output, error) {
-	app, err := buildApp(kind, n, nodes)
-	if err != nil {
-		return nil, err
-	}
-	mapping, err := model.SpreadParallel(app, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: nodes})
+	return generate(kind, pl, nodes, nodes, n, "spread")
 }
 
 // GenerateTablesWide builds tables for topologies wider than one function:
@@ -170,15 +159,16 @@ func GenerateTables(kind AppKind, pl machine.Platform, nodes, n int) (*gluegen.O
 // machine (model.StaggerParallel), so a 1024-node platform is genuinely
 // populated instead of piling every stage onto nodes 0..threads-1.
 func GenerateTablesWide(kind AppKind, pl machine.Platform, nodes, threads, n int) (*gluegen.Output, error) {
-	app, err := buildApp(kind, n, threads)
+	return generate(kind, pl, nodes, threads, n, "stagger")
+}
+
+// generate builds a kind's tables through core with the named mapping.
+func generate(kind AppKind, pl machine.Platform, nodes, threads, n int, mapping string) (*gluegen.Output, error) {
+	prog, err := core.Build(core.Spec{App: appName(kind), N: n, Threads: threads, Platform: pl, Nodes: nodes, Mapping: mapping})
 	if err != nil {
 		return nil, err
 	}
-	mapping, err := model.StaggerParallel(app, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: nodes})
+	return prog.Artifacts, nil
 }
 
 // runSage generates glue code and executes it under the protocol, returning

@@ -338,7 +338,7 @@ func TestProtocolDefaults(t *testing.T) {
 }
 
 func TestBuildAppUnknownKind(t *testing.T) {
-	if _, err := buildApp("bogus", 64, 4); err == nil {
+	if _, err := BuildApp("bogus", 64, 4); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	if _, _, err := runHand("bogus", platforms.CSPI(), 4, 64, Quick()); err == nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/atot"
+	"repro/internal/gluegen"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -549,11 +550,11 @@ func RunEstimateAccuracy(app *model.App, pl machine.Platform, nodes int) (*Estim
 		if err != nil {
 			return nil, err
 		}
-		tbl, err := gluegenGenerate(app, m, pl, nodes)
+		gen, err := gluegen.Generate(gluegen.Input{App: app, Mapping: m, Platform: pl, NumNodes: nodes})
 		if err != nil {
 			return nil, err
 		}
-		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 2, Sequential: true})
+		res, err := sagert.Run(gen.Tables, pl, sagert.Options{Iterations: 2, Sequential: true})
 		if err != nil {
 			return nil, err
 		}
@@ -637,11 +638,11 @@ func RunHeterogeneous(app *model.App, pl machine.Platform, speeds []float64, ga 
 	// Measure per-data-set latency in sequential mode — the quantity the
 	// optimiser's critical-path model estimates.
 	measure := func(m *model.Mapping) (sim.Duration, error) {
-		tbl, err := gluegenGenerate(app, m, pl, nodes)
+		gen, err := gluegen.Generate(gluegen.Input{App: app, Mapping: m, Platform: pl, NumNodes: nodes})
 		if err != nil {
 			return 0, err
 		}
-		res, err := sagert.Run(tbl, pl, sagert.Options{Iterations: 3, Sequential: true, NodeSpeeds: speeds})
+		res, err := sagert.Run(gen.Tables, pl, sagert.Options{Iterations: 3, Sequential: true, NodeSpeeds: speeds})
 		if err != nil {
 			return 0, err
 		}
@@ -784,11 +785,11 @@ func RunMappingStudy(app *model.App, pl machine.Platform, nodes int, ga atot.GAC
 	study := &MappingStudy{App: app.Name, GACost: stats.Best, GreedyCost: greedyCost, RoundRobin: rrCost}
 
 	measure := func(m *model.Mapping) (sim.Duration, error) {
-		out, err := gluegenGenerate(app, m, pl, nodes)
+		gen, err := gluegen.Generate(gluegen.Input{App: app, Mapping: m, Platform: pl, NumNodes: nodes})
 		if err != nil {
 			return 0, err
 		}
-		res, err := sagert.Run(out, pl, sagert.Options{Iterations: 3})
+		res, err := sagert.Run(gen.Tables, pl, sagert.Options{Iterations: 3})
 		if err != nil {
 			return 0, err
 		}

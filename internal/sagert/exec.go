@@ -41,7 +41,6 @@ type threadPlan struct {
 	outs     []*portPlan
 	isSource bool
 	isSink   bool
-	probe    bool
 }
 
 // localKey routes optimised node-local handoffs.
@@ -92,7 +91,6 @@ func (r *runner) buildPlan() {
 			tp := &threadPlan{
 				fn: fe, thread: th, node: fe.Nodes[th], impl: impl,
 				isSource: len(fe.Ins) == 0, isSink: len(fe.Outs) == 0,
-				probe: fe.Probe || r.opts.ProbeAll,
 			}
 			for pi := range fe.Ins {
 				tp.ins = append(tp.ins, r.portPlan(&fe.Ins[pi], fe, th, true))
@@ -154,11 +152,18 @@ func (r *runner) localOptimised(srcNode, dstNode int) bool {
 	return r.opts.OptimizedBuffers && srcNode == dstNode
 }
 
+// ProcName names the simulated process running one function thread. Its
+// trace track is trace.ProcTrack(ProcName(...), pid), which is how a
+// collector's phase spans are attributed back to function threads.
+func ProcName(app, fn string, thread int) string {
+	return fmt.Sprintf("%s.%s[%d]", app, fn, thread)
+}
+
 // spawn launches every function thread on its mapped node's shard.
 func (r *runner) spawn(k *sim.Kernel) {
 	for _, tp := range r.plans {
 		tp := tp
-		k.SpawnOn(tp.node, fmt.Sprintf("%s.%s[%d]", r.tables.AppName, tp.fn.Name, tp.thread), func(p *sim.Proc) {
+		k.SpawnOn(tp.node, ProcName(r.tables.AppName, tp.fn.Name, tp.thread), func(p *sim.Proc) {
 			rank := r.world.Attach(tp.node, p)
 			r.threadMain(tp, rank)
 		})
@@ -302,7 +307,6 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 			inBlocks[pp.entry.Name] = blk
 		}
 		if len(tp.ins) > 0 {
-			r.trace(tp, iter, "recv", recvStart, rank.Proc().Now())
 			tr.Phase(trace.LayerSage, tp.node, track, "recv", iter, recvStart, rank.Proc().Now())
 		}
 
@@ -347,7 +351,6 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 				return
 			}
 		}
-		r.trace(tp, iter, "compute", compStart, rank.Proc().Now())
 		tr.Phase(trace.LayerSage, tp.node, track, "compute", iter, compStart, rank.Proc().Now())
 
 		// --- send phase ------------------------------------------------------
@@ -402,7 +405,6 @@ func (r *runner) threadMain(tp *threadPlan, rank *mpi.Rank) {
 			}
 		}
 		if len(tp.outs) > 0 {
-			r.trace(tp, iter, "send", sendStart, rank.Proc().Now())
 			tr.Phase(trace.LayerSage, tp.node, track, "send", iter, sendStart, rank.Proc().Now())
 		}
 
@@ -520,16 +522,6 @@ func (r *runner) noteOverrun(over sim.Duration) {
 		r.maxOverrun = over
 	}
 	r.noteMu.Unlock()
-}
-
-func (r *runner) trace(tp *threadPlan, iter int, phase string, start, end sim.Time) {
-	if r.opts.Trace == nil || !tp.probe {
-		return
-	}
-	r.opts.Trace(Event{
-		Fn: tp.fn.ID, FnName: tp.fn.Name, Thread: tp.thread, Node: tp.node,
-		Iter: iter, Phase: phase, Start: start, End: end,
-	})
 }
 
 // storeSink writes a sink thread's block into the assembled output matrix.

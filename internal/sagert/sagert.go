@@ -72,18 +72,12 @@ type Options struct {
 	// (backpressure from the pipeline) accumulate overrun, reported in
 	// Result.MaxOverrun.
 	InputPeriod sim.Duration
-	// Trace, when non-nil, receives an event for every phase of every
-	// probed function (or every function if ProbeAll).
-	Trace func(Event)
 	// Collector, when non-nil, receives structured trace spans for the
 	// whole run: per-thread function phases (recv/compute/send), per-port
 	// transfer activity with byte counts, buffer-credit stalls, MPI
 	// collective spans, and the sim kernel's process/wait events. One
 	// collector serves one run. See package repro/internal/trace.
 	Collector *trace.Collector
-	// ProbeAll instruments every function, not just those whose model
-	// entry set the probe property.
-	ProbeAll bool
 	// Faults, when non-nil and non-empty, installs a deterministic fault
 	// injector on the simulated machine and switches the runtime into its
 	// resilient mode: striped transfers retry with backoff (at the MPI
@@ -102,9 +96,8 @@ type Options struct {
 	// byte-identical to the sequential kernel's — sharding buys wall-clock
 	// speed, never different answers. Values <= 1 select the classic
 	// sequential kernel. The request is a ceiling, not a promise: runs that
-	// cannot shard soundly (shared-fabric platforms, Sequential mode, the
-	// legacy Trace probe, fewer nodes than shards) silently fall back to
-	// fewer shards or one.
+	// cannot shard soundly (shared-fabric platforms, Sequential mode, fewer
+	// nodes than shards) silently fall back to fewer shards or one.
 	Shards int
 	// ShardWeights optionally biases the shard partitioner with per-node
 	// load weights (higher = busier); the analytical twin's per-node busy
@@ -153,18 +146,6 @@ func (o *Options) withDefaults() Options {
 	}
 	out.Resilience = out.Resilience.WithDefaults()
 	return out
-}
-
-// Event is one traced phase of a function thread's iteration.
-type Event struct {
-	Fn     int
-	FnName string
-	Thread int
-	Node   int
-	Iter   int
-	Phase  string // "recv", "compute", "send"
-	Start  sim.Time
-	End    sim.Time
 }
 
 // Result reports an execution.

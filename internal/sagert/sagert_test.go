@@ -12,6 +12,7 @@ import (
 	"repro/internal/isspl"
 	"repro/internal/model"
 	"repro/internal/platforms"
+	"repro/internal/trace"
 )
 
 // genTables generates verified tables for a benchmark app.
@@ -241,64 +242,26 @@ func TestOptimizedBuffersFasterAndCorrect(t *testing.T) {
 
 func TestTraceEvents(t *testing.T) {
 	tb := genTables(t, apps.CornerTurn, 32, 2, 2)
-	var events []Event
-	_, err := Run(tb, platforms.CSPI(), Options{
-		Iterations: 2, ProbeAll: true,
-		Trace: func(e Event) { events = append(events, e) },
-	})
-	if err != nil {
+	col := trace.New("phases")
+	if _, err := Run(tb, platforms.CSPI(), Options{Iterations: 2, Collector: col}); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Fatal("no trace events")
-	}
 	phases := map[string]bool{}
-	for _, e := range events {
-		phases[e.Phase] = true
-		if e.End < e.Start {
-			t.Fatalf("event ends before it starts: %+v", e)
+	for _, s := range col.Spans() {
+		if s.Layer != trace.LayerSage || s.Bytes >= 0 {
+			continue
 		}
-		if e.FnName == "" {
-			t.Fatalf("unnamed event: %+v", e)
+		phases[s.Name] = true
+		if s.End < s.Start {
+			t.Fatalf("span ends before it starts: %+v", s)
+		}
+		if s.Iter < 0 || !strings.HasPrefix(s.Track, tb.AppName+".") {
+			t.Fatalf("phase span not attributed to a function thread: %+v", s)
 		}
 	}
 	for _, want := range []string{"recv", "compute", "send"} {
 		if !phases[want] {
 			t.Fatalf("missing phase %q in %v", want, phases)
-		}
-	}
-	// Without ProbeAll and without probe properties, no events.
-	var none []Event
-	_, err = Run(tb, platforms.CSPI(), Options{Iterations: 1, Trace: func(e Event) { none = append(none, e) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
-		t.Fatalf("unprobed run emitted %d events", len(none))
-	}
-}
-
-func TestProbePropertyEnablesTracing(t *testing.T) {
-	app, err := apps.CornerTurn(32, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.Function("turn").SetProp("probe", true)
-	mapping, _ := model.SpreadParallel(app, 2)
-	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: platforms.CSPI(), NumNodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	if _, err := Run(out.Tables, platforms.CSPI(), Options{Iterations: 1, Trace: func(e Event) { events = append(events, e) }}); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("probe property did not enable tracing")
-	}
-	for _, e := range events {
-		if e.FnName != "turn" {
-			t.Fatalf("unprobed function traced: %+v", e)
 		}
 	}
 }

@@ -175,8 +175,8 @@ func TestShardedWeightsOnlySteerThePartition(t *testing.T) {
 }
 
 // TestShardedRequestFallsBackSoundly: configurations that cannot shard
-// (shared-fabric platform, Sequential mode, the legacy Trace probe) accept a
-// Shards request and silently run on one shard, unchanged.
+// (shared-fabric platform, Sequential mode) accept a Shards request and
+// silently run on one shard, unchanged.
 func TestShardedRequestFallsBackSoundly(t *testing.T) {
 	const n = 32
 	t.Run("fabric", func(t *testing.T) {
@@ -202,19 +202,5 @@ func TestShardedRequestFallsBackSoundly(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameResult(t, "sequential", ref, got)
-	})
-	t.Run("legacy-probe", func(t *testing.T) {
-		tb := genTablesMercury(t, apps.FFT2D, n, 4, 4)
-		events := 0
-		_, err := Run(tb, platforms.Mercury(), Options{
-			Iterations: 2, Shards: 4, ProbeAll: true,
-			Trace: func(Event) { events++ },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if events == 0 {
-			t.Fatal("legacy probe saw no events")
-		}
 	})
 }

@@ -19,8 +19,6 @@ import (
 //     is one contention point spanning every node, so no partition of the
 //     nodes confines it to a shard;
 //   - Sequential mode: the iteration barrier spans every thread;
-//   - the legacy Options.Trace probe is set: its callback is a single
-//     closure invoked from every thread;
 //   - the derived lookahead is not positive (degenerate platform).
 //
 // The partition itself comes from sim/shard.Partition, seeded with the
@@ -28,7 +26,7 @@ import (
 // analytical twin's per-node busy forecast, see twin.ShardWeights) and
 // falling back to uniform contiguous bands without them.
 func planShards(t *gluegen.Tables, pl machine.Platform, o *Options) (n int, domainOf []int, lookahead sim.Duration) {
-	if o.Shards <= 1 || o.Sequential || o.Trace != nil || pl.FabricConcurrency > 0 {
+	if o.Shards <= 1 || o.Sequential || pl.FabricConcurrency > 0 {
 		return 1, nil, 0
 	}
 	boards := make([]int, t.NumNodes)

@@ -11,12 +11,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/atot"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/funclib"
-	"repro/internal/gluegen"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -41,7 +39,7 @@ func badf(format string, args ...any) error {
 // part of the cache key; TimeoutMs is the one knob that is not — it bounds
 // wall-clock patience, never virtual-time results.
 type Request struct {
-	// App selects a generated benchmark model: fft2d | cornerturn | stap.
+	// App selects a generated benchmark model, a core.Spec app name.
 	App string `json:"app,omitempty"`
 	// N is the benchmark matrix edge (power of two; default 256).
 	N int `json:"n,omitempty"`
@@ -54,8 +52,7 @@ type Request struct {
 	Platform string `json:"platform,omitempty"`
 	// Nodes is the processor count (default 8).
 	Nodes int `json:"nodes,omitempty"`
-	// Mapping is the strategy: spread | roundrobin | greedy | ga
-	// (default spread).
+	// Mapping is the strategy, a core.Spec mapping name (default spread).
 	Mapping string `json:"mapping,omitempty"`
 	// Seed drives the GA mapper; it is part of the cache key for every
 	// strategy so clients can force distinct cache entries.
@@ -184,43 +181,29 @@ func (r *Request) normalize() error {
 	if r.Source != "" {
 		r.App, r.N, r.Threads = "", 0, 0
 	} else {
-		switch r.App {
-		case "fft2d", "cornerturn", "stap":
-		default:
-			return badf("unknown app %q (want fft2d, cornerturn or stap)", r.App)
-		}
 		if r.N == 0 {
 			r.N = 256
 		}
-		if r.N < 0 {
-			return badf("n must be positive")
-		}
 		if r.Threads == 0 {
 			r.Threads = 4
-		}
-		if r.Threads < 0 {
-			return badf("threads must be positive")
 		}
 	}
 	if r.Platform == "" {
 		r.Platform = "CSPI"
 	}
-	if _, err := platforms.ByName(r.Platform); err != nil {
+	pl, err := platforms.ByName(r.Platform)
+	if err != nil {
 		return badf("%v (have %s)", err, strings.Join(platforms.Names(), ", "))
 	}
 	if r.Nodes == 0 {
 		r.Nodes = 8
 	}
-	if r.Nodes < 0 {
-		return badf("nodes must be positive")
-	}
 	if r.Mapping == "" {
 		r.Mapping = "spread"
 	}
-	switch r.Mapping {
-	case "spread", "roundrobin", "greedy", "ga":
-	default:
-		return badf("unknown mapping %q (want spread, roundrobin, greedy or ga)", r.Mapping)
+	spec := r.spec(pl, nil)
+	if err := spec.Check(); err != nil {
+		return badf("%v", err)
 	}
 	if st := r.Protocol.Stream; st != nil {
 		// Streaming replaces the iteration protocol: arrivals drive the run.
@@ -305,81 +288,48 @@ func (r *Request) cacheKey() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// spec is the core spec of a normalized request; app is the parsed Source
+// model (nil for a named app).
+func (r *Request) spec(pl machine.Platform, app *model.App) core.Spec {
+	return core.Spec{App: r.App, Model: app, N: r.N, Threads: r.Threads, Platform: pl, Nodes: r.Nodes,
+		// Small fixed GA budget: the daemon answers interactively, and the
+		// seed (cache-keyed) makes the search reproducible.
+		Mapping: r.Mapping, GA: atot.GAConfig{Population: 32, Generations: 40, Seed: r.Seed}}
+}
+
 // buildCase turns a normalized request into executable runtime tables.
 // Every error here is the client's (bad model text, shape constraints,
 // unmappable graphs) and is wrapped as errBadRequest.
-func buildCase(r *Request) (*gluegen.Tables, *model.App, machine.Platform, *Response, error) {
+func buildCase(r *Request) (*core.Program, *Response, error) {
 	var app *model.App
-	var err error
 	if r.Source != "" {
-		app, err = model.ReadText(strings.NewReader(r.Source))
-		if err != nil {
-			return nil, nil, machine.Platform{}, nil, badf("source: %v", err)
-		}
-		if err := funclib.ValidateApp(app); err != nil {
-			return nil, nil, machine.Platform{}, nil, badf("source: %v", err)
-		}
-	} else {
-		switch r.App {
-		case "fft2d":
-			app, err = apps.FFT2D(r.N, r.Threads)
-		case "cornerturn":
-			app, err = apps.CornerTurn(r.N, r.Threads)
-		case "stap":
-			app, err = apps.STAP(r.N, r.Threads)
-		}
-		if err != nil {
-			return nil, nil, machine.Platform{}, nil, badf("%s: %v", r.App, err)
+		var err error
+		if app, err = model.ReadText(strings.NewReader(r.Source)); err != nil {
+			return nil, nil, badf("source: %v", err)
 		}
 	}
 	pl, err := platforms.ByName(r.Platform)
 	if err != nil {
-		return nil, nil, machine.Platform{}, nil, badf("%v", err)
+		return nil, nil, badf("%v", err)
 	}
-
+	prog, err := core.Build(r.spec(pl, app))
+	if err != nil {
+		return nil, nil, badf("%v", err)
+	}
 	resp := &Response{
-		App:         app.Name,
+		App:         prog.App.Name,
 		Platform:    pl.Name,
 		Nodes:       r.Nodes,
 		Mapping:     r.Mapping,
 		Seed:        r.Seed,
 		Iterations:  r.Protocol.Iterations,
 		Repetitions: r.Protocol.Repetitions,
+		Assignment:  prog.Mapping.Assign,
 	}
-
-	var mapping *model.Mapping
-	switch r.Mapping {
-	case "spread":
-		mapping, err = model.SpreadParallel(app, r.Nodes)
-	case "roundrobin":
-		mapping = model.RoundRobin(app, r.Nodes)
-	case "greedy", "ga":
-		ev, everr := atot.NewEvaluator(app, pl, r.Nodes)
-		if everr != nil {
-			return nil, nil, machine.Platform{}, nil, badf("%v", everr)
-		}
-		if r.Mapping == "greedy" {
-			mapping, err = atot.MapGreedy(ev)
-		} else {
-			var stats *atot.GAStats
-			// Small fixed GA budget: the daemon answers interactively, and
-			// the seed (cache-keyed) makes the search reproducible.
-			mapping, stats, err = atot.MapGA(ev, atot.GAConfig{Population: 32, Generations: 40, Seed: r.Seed})
-			if stats != nil {
-				resp.GA = &GASummary{Generations: stats.Generations, Evaluations: stats.Evaluations, Best: stats.Best.Total}
-			}
-		}
+	if ga := prog.GA; ga != nil {
+		resp.GA = &GASummary{Generations: ga.Generations, Evaluations: ga.Evaluations, Best: ga.Best.Total}
 	}
-	if err != nil {
-		return nil, nil, machine.Platform{}, nil, badf("mapping: %v", err)
-	}
-	resp.Assignment = mapping.Assign
-
-	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: r.Nodes})
-	if err != nil {
-		return nil, nil, machine.Platform{}, nil, badf("gluegen: %v", err)
-	}
-	return out.Tables, app, pl, resp, nil
+	return prog, resp, nil
 }
 
 // executeEstimate answers a request from the analytical twin: same model,
@@ -388,11 +338,11 @@ func buildCase(r *Request) (*gluegen.Tables, *model.App, machine.Platform, *Resp
 // response mirrors a run response (predicted period/latency/elapsed,
 // predicted per-node busy stats, Dispatches 0) plus the twin breakdown.
 func executeEstimate(r *Request) (*Response, error) {
-	tables, _, pl, resp, err := buildCase(r)
+	prog, resp, err := buildCase(r)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := twin.NewEvaluator(tables, pl)
+	ev, err := twin.NewEvaluator(prog.Tables(), prog.Platform)
 	if err != nil {
 		return nil, badf("twin: %v", err)
 	}
@@ -442,15 +392,15 @@ func executeEstimate(r *Request) (*Response, error) {
 // callback, when non-nil, receives live admission-queue depths for the
 // daemon's per-worker gauges; it never influences the simulated result.
 func executeStream(ctx context.Context, r *Request, backlog func(int)) (*Response, error) {
-	tables, app, pl, resp, err := buildCase(r)
+	prog, resp, err := buildCase(r)
 	if err != nil {
 		return nil, err
 	}
 	spec := r.Protocol.Stream
 	cfg := stream.Config{
-		Tables:      tables,
-		App:         app,
-		Platform:    pl,
+		Tables:      prog.Tables(),
+		App:         prog.App,
+		Platform:    prog.Platform,
 		Classes:     spec.Classes,
 		Seed:        r.Seed,
 		BufferSlots: spec.BufferSlots,
@@ -462,7 +412,7 @@ func executeStream(ctx context.Context, r *Request, backlog func(int)) (*Respons
 		if err != nil {
 			return nil, badf("faults: %v", err)
 		}
-		if err := plan.CheckNodes(tables.NumNodes); err != nil {
+		if err := plan.CheckNodes(r.Nodes); err != nil {
 			return nil, badf("faults: %v", err)
 		}
 		cfg.Faults = plan
@@ -473,7 +423,7 @@ func executeStream(ctx context.Context, r *Request, backlog func(int)) (*Respons
 	}
 	var col *trace.Collector
 	if r.TraceSummary {
-		col = trace.New(resp.App + " stream on " + pl.Name)
+		col = trace.New(resp.App + " stream on " + resp.Platform)
 		cfg.Collector = col
 	}
 	res, err := stream.Run(cfg)
@@ -543,10 +493,11 @@ func execute(ctx context.Context, r *Request, backlog func(int)) (*Response, err
 	if r.Protocol.Stream != nil {
 		return executeStream(ctx, r, backlog)
 	}
-	tables, _, pl, resp, err := buildCase(r)
+	prog, resp, err := buildCase(r)
 	if err != nil {
 		return nil, err
 	}
+	tables, pl := prog.Tables(), prog.Platform
 
 	var plan *fault.Plan
 	if r.Faults != "" {

@@ -35,6 +35,11 @@ import (
 	"repro/internal/sagert"
 )
 
+// maxRequestBytes bounds a /v1/run body; a larger one is answered 413. The
+// largest legitimate body carries inline model text, a few KiB for the stock
+// benchmarks, so 1 MiB leaves ample room while keeping decode memory bounded.
+const maxRequestBytes = 1 << 20
+
 // Config sizes the daemon; zero values select the documented defaults.
 type Config struct {
 	// Workers is the size of the simulation worker fleet
@@ -271,9 +276,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}

@@ -74,6 +74,30 @@ func TestRunEndpointAndCache(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a body past the limit is answered 413 without
+// being decoded, and the server keeps serving the next request.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, Config{Workers: 1}))
+	defer ts.Close()
+	huge := `{"source":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	resp, err = ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(smallReq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the oversized one: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestRepetitionsAndTraceSummary(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	body := `{"app":"cornerturn","n":64,"threads":2,"nodes":4,"trace_summary":true,"protocol":{"iterations":2,"repetitions":3}}`

@@ -58,6 +58,27 @@ func TestStreamRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestStreamPercentilesOrdered replays a request whose independent P²
+// estimators cross (p50 above p95 and p99 before the report sorted them);
+// it must answer 200 with ordered percentiles.
+func TestStreamPercentilesOrdered(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	body := `{"app":"fft2d","n":32,"threads":2,"nodes":4,"seed":2001012,"protocol":{"stream":{"classes":[{"name":"interactive","process":"poisson","rate":400,"frames":10,"slo_ms":20},{"name":"batch","process":"gamma","rate":100,"shape":4,"frames":5,"weight":2}]}}}`
+	w := do(s, http.MethodPost, "/v1/run", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
+	}
+	var resp Response
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range resp.Stream.Classes {
+		if c.P50Ns > c.P95Ns || c.P95Ns > c.P99Ns {
+			t.Errorf("class %s: percentiles not ordered (p50 %d, p95 %d, p99 %d)", c.Name, c.P50Ns, c.P95Ns, c.P99Ns)
+		}
+	}
+}
+
 // TestStreamStatsCounters: /v1/stats reflects executed streaming work —
 // run count, frame totals, and the worker-depth gauge vector.
 func TestStreamStatsCounters(t *testing.T) {

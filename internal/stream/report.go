@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -132,9 +133,12 @@ func BuildReport(classes []Class, seed int64, res *Result) *Report {
 	seconds := float64(res.LastDone) / 1e9
 	goodputs := make([]float64, len(classes))
 	for i, a := range accs {
-		a.cr.P50Ns = int64(a.p50.Value())
-		a.cr.P95Ns = int64(a.p95.Value())
-		a.cr.P99Ns = int64(a.p99.Value())
+		// The three P² estimators run independently and can cross on small
+		// or skewed samples; sorting them is the monotone rearrangement,
+		// which leaves already-ordered estimates untouched.
+		ps := []float64{a.p50.Value(), a.p95.Value(), a.p99.Value()}
+		sort.Float64s(ps)
+		a.cr.P50Ns, a.cr.P95Ns, a.cr.P99Ns = int64(ps[0]), int64(ps[1]), int64(ps[2])
 		a.cr.MeanNs = int64(a.mean.Mean())
 		a.cr.MaxNs = int64(a.max)
 		if seconds > 0 {

@@ -6,10 +6,8 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/gluegen"
-	"repro/internal/model"
 	"repro/internal/platforms"
 	"repro/internal/sim"
 )
@@ -19,7 +17,7 @@ import (
 // sage-stream reads from disk, what the experiments harness commits as
 // goldens, and what a report embeds so a replay needs nothing else.
 type Scenario struct {
-	// App selects a generated benchmark: fft2d | cornerturn | stap.
+	// App selects a generated benchmark (a core.Spec app name).
 	App string `json:"app"`
 	// N is the benchmark matrix edge (default 64 — streaming scenarios run
 	// many frames, so the per-frame size stays modest).
@@ -30,8 +28,8 @@ type Scenario struct {
 	Platform string `json:"platform,omitempty"`
 	// Nodes is the processor count (default 8).
 	Nodes int `json:"nodes,omitempty"`
-	// Mapping is the initial strategy: spread | stagger | roundrobin
-	// (default spread). The remap controller may change it mid-run.
+	// Mapping is the initial strategy, a core.Spec mapping name (default
+	// spread). The remap controller may change it mid-run.
 	Mapping string `json:"mapping,omitempty"`
 	// Seed drives the arrival processes.
 	Seed int64 `json:"seed,omitempty"`
@@ -100,9 +98,6 @@ func (s *Scenario) withDefaults() Scenario {
 	if out.Nodes == 0 {
 		out.Nodes = 8
 	}
-	if out.Mapping == "" {
-		out.Mapping = "spread"
-	}
 	return out
 }
 
@@ -112,42 +107,13 @@ func (s *Scenario) withDefaults() Scenario {
 func (s *Scenario) Build() (Config, error) {
 	d := s.withDefaults()
 	var cfg Config
-	var app *model.App
-	var err error
-	switch d.App {
-	case "fft2d":
-		app, err = apps.FFT2D(d.N, d.Threads)
-	case "cornerturn":
-		app, err = apps.CornerTurn(d.N, d.Threads)
-	case "stap":
-		app, err = apps.STAP(d.N, d.Threads)
-	default:
-		return cfg, fmt.Errorf("stream: unknown app %q (want fft2d, cornerturn or stap)", d.App)
-	}
-	if err != nil {
-		return cfg, fmt.Errorf("stream: %s: %w", d.App, err)
-	}
 	pl, err := platforms.ByName(d.Platform)
 	if err != nil {
 		return cfg, fmt.Errorf("stream: %w", err)
 	}
-	var mapping *model.Mapping
-	switch d.Mapping {
-	case "spread":
-		mapping, err = model.SpreadParallel(app, d.Nodes)
-	case "stagger":
-		mapping, err = model.StaggerParallel(app, d.Nodes)
-	case "roundrobin":
-		mapping = model.RoundRobin(app, d.Nodes)
-	default:
-		return cfg, fmt.Errorf("stream: unknown mapping %q (want spread, stagger or roundrobin)", d.Mapping)
-	}
+	prog, err := core.Build(core.Spec{App: d.App, N: d.N, Threads: d.Threads, Platform: pl, Nodes: d.Nodes, Mapping: d.Mapping})
 	if err != nil {
-		return cfg, fmt.Errorf("stream: mapping: %w", err)
-	}
-	out, err := gluegen.Generate(gluegen.Input{App: app, Mapping: mapping, Platform: pl, NumNodes: d.Nodes})
-	if err != nil {
-		return cfg, fmt.Errorf("stream: gluegen: %w", err)
+		return cfg, fmt.Errorf("stream: %w", err)
 	}
 	if len(d.Classes) == 0 {
 		return cfg, fmt.Errorf("stream: scenario has no classes")
@@ -171,8 +137,8 @@ func (s *Scenario) Build() (Config, error) {
 		}
 	}
 	cfg = Config{
-		Tables:      out.Tables,
-		App:         app,
+		Tables:      prog.Tables(),
+		App:         prog.App,
 		Platform:    pl,
 		Classes:     d.Classes,
 		Seed:        d.Seed,

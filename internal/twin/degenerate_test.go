@@ -3,6 +3,7 @@ package twin
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gluegen"
 	"repro/internal/model"
 	"repro/internal/platforms"
@@ -18,11 +19,11 @@ import (
 // pinned by TestNodeAccountingMatchesDESExactly.)
 func TestDegenerateSingleNode(t *testing.T) {
 	pl := platforms.CSPI()
-	out, err := genTables("fft2d", pl, 1, 64)
+	prog, err := core.Build(core.Spec{App: "fft2d", N: 64, Threads: 1, Platform: pl, Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(out.Tables, pl)
+	ev, err := NewEvaluator(prog.Tables(), pl)
 	if err != nil {
 		t.Fatal(err)
 	}

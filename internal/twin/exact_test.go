@@ -3,6 +3,7 @@ package twin
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/platforms"
 	"repro/internal/sagert"
 )
@@ -22,17 +23,17 @@ func TestNodeAccountingMatchesDESExactly(t *testing.T) {
 		}
 		for _, app := range apps {
 			for _, nodes := range []int{1, 2, 4} {
-				out, err := genTables(app, pl, nodes, 64)
+				prog, err := core.Build(core.Spec{App: app, N: 64, Threads: nodes, Platform: pl, Nodes: nodes})
 				if err != nil {
 					t.Fatalf("%s/%s/%d: %v", name, app, nodes, err)
 				}
-				ev, err := NewEvaluator(out.Tables, pl)
+				ev, err := NewEvaluator(prog.Tables(), pl)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, seq := range []bool{false, true} {
 					for _, opt := range []bool{false, true} {
-						res, err := sagert.Run(out.Tables, pl, sagert.Options{
+						res, err := sagert.Run(prog.Tables(), pl, sagert.Options{
 							Iterations: 4, Sequential: seq, OptimizedBuffers: opt,
 						})
 						if err != nil {

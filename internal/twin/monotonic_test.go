@@ -3,11 +3,12 @@ package twin
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/platforms"
 	"repro/internal/sim"
-	"time"
 )
 
 // randomPlatform derives a random but valid platform from CSPI, keeping the
@@ -35,7 +36,7 @@ func randomPlatform(rng *rand.Rand) machine.Platform {
 // just at the calibrated vendor points.
 func TestMonotonicity(t *testing.T) {
 	base := platforms.CSPI()
-	out, err := genTables("fft2d", base, 8, 32)
+	prog, err := core.Build(core.Spec{App: "fft2d", N: 32, Threads: 8, Platform: base, Nodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestMonotonicity(t *testing.T) {
 		{Iterations: 4, Sequential: true, OptimizedBuffers: true},
 	}
 	price := func(pl machine.Platform, speeds []float64) []sim.Duration {
-		ev, err := NewEvaluator(out.Tables, pl)
+		ev, err := NewEvaluator(prog.Tables(), pl)
 		if err != nil {
 			t.Fatal(err)
 		}

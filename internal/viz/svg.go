@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/sagert"
 )
 
 // WriteSVG renders the execution timeline as a standalone SVG document: one
@@ -33,7 +31,7 @@ func (t *Trace) WriteSVG(w io.Writer, width int) error {
 		name   string
 		thread int
 	}
-	rows := map[rowKey][]sagert.Event{}
+	rows := map[rowKey][]Event{}
 	for _, e := range t.Events {
 		k := rowKey{e.Fn, e.FnName, e.Thread}
 		rows[k] = append(rows[k], e)

@@ -6,9 +6,9 @@
 // application performance, and search for problems in the system, such as
 // bottlenecks or violated latency thresholds."
 //
-// Probes are the trace hooks of the SAGE runtime (sagert.Options.Trace /
-// the per-function "probe" model property); this package collects the
-// events and renders text displays: an ASCII Gantt timeline per function
+// The probes are the SAGE runtime's per-thread recv/compute/send phase spans
+// in a run's trace.Collector; FromCollector turns them into probe events and
+// this package renders text displays: an ASCII Gantt timeline per function
 // thread, per-function phase breakdowns, a bottleneck ranking, latency
 // threshold checks, and CSV export for external tooling.
 package viz
@@ -20,8 +20,10 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/gluegen"
 	"repro/internal/sagert"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // newLineScanner wraps bufio.Scanner with a generous buffer for long traces.
@@ -31,15 +33,43 @@ func newLineScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// Trace is a collected set of runtime probe events.
-type Trace struct {
-	Events []sagert.Event
+// Event is one probed phase of a function thread's iteration.
+type Event struct {
+	Fn     int
+	FnName string
+	Thread int
+	Node   int
+	Iter   int
+	Phase  string // "recv", "compute", "send"
+	Start  sim.Time
+	End    sim.Time
 }
 
-// Collector returns a trace and the hook to pass as sagert.Options.Trace.
-func Collector() (*Trace, func(sagert.Event)) {
-	t := &Trace{}
-	return t, func(e sagert.Event) { t.Events = append(t.Events, e) }
+// Trace is a collected set of runtime probe events.
+type Trace struct {
+	Events []Event
+}
+
+// FromCollector builds the probe events of a sagert run of the given tables
+// from the run's collector: every function thread's recv, compute and send
+// phase spans, in recording order.
+func FromCollector(c *trace.Collector, t *gluegen.Tables) *Trace {
+	threads := map[string]Event{} // by process name, see sagert.ProcName
+	for _, fe := range t.Functions {
+		for th := 0; th < fe.Threads; th++ {
+			threads[sagert.ProcName(t.AppName, fe.Name, th)] = Event{Fn: fe.ID, FnName: fe.Name, Thread: th}
+		}
+	}
+	out := &Trace{}
+	for _, s := range c.Spans() {
+		e, ok := threads[s.Track[:max(strings.LastIndex(s.Track, " #"), 0)]]
+		if !ok || s.Layer != trace.LayerSage || (s.Name != "recv" && s.Name != "compute" && s.Name != "send") {
+			continue
+		}
+		e.Node, e.Iter, e.Phase, e.Start, e.End = s.Node, s.Iter, s.Name, s.Start, s.End
+		out.Events = append(out.Events, e)
+	}
+	return out
 }
 
 // Span reports the earliest start and latest end across all events.
@@ -187,7 +217,7 @@ func (t *Trace) Gantt(w io.Writer, width int) error {
 		name   string
 		thread int
 	}
-	rows := map[rowKey][]sagert.Event{}
+	rows := map[rowKey][]Event{}
 	for _, e := range t.Events {
 		k := rowKey{e.Fn, e.FnName, e.Thread}
 		rows[k] = append(rows[k], e)
@@ -238,7 +268,7 @@ func (t *Trace) Gantt(w io.Writer, width int) error {
 	return nil
 }
 
-func firstNode(events []sagert.Event) int {
+func firstNode(events []Event) int {
 	if len(events) == 0 {
 		return -1
 	}
@@ -305,7 +335,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if len(parts) != 8 {
 			return nil, fmt.Errorf("viz: bad trace line %q", line)
 		}
-		var e sagert.Event
+		var e Event
 		var start, end int64
 		if _, err := fmt.Sscanf(parts[0], "%d", &e.Fn); err != nil {
 			return nil, fmt.Errorf("viz: bad fn id in %q", line)

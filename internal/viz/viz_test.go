@@ -12,9 +12,10 @@ import (
 	"repro/internal/platforms"
 	"repro/internal/sagert"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// runTraced executes a corner turn with all probes on and returns the trace
+// runTraced executes a traced corner turn and returns the Visualizer trace
 // and result.
 func runTraced(t *testing.T) (*Trace, *sagert.Result) {
 	t.Helper()
@@ -27,12 +28,12 @@ func runTraced(t *testing.T) (*Trace, *sagert.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, hook := Collector()
-	res, err := sagert.Run(out.Tables, platforms.CSPI(), sagert.Options{Iterations: 3, ProbeAll: true, Trace: hook})
+	col := trace.New("viz")
+	res, err := sagert.Run(out.Tables, platforms.CSPI(), sagert.Options{Iterations: 3, Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace, res
+	return FromCollector(col, out.Tables), res
 }
 
 func TestCollectorGathersEvents(t *testing.T) {

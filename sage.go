@@ -188,30 +188,24 @@ func (p *Project) SetMapping(m *Mapping) error {
 
 // Build runs the standard Alter glue-code generator over the mapped project
 // and returns the executable Program.
-func (p *Project) Build() (*core.Program, error) {
+func (p *Project) Build() (*core.Program, error) { return p.build("") }
+
+// build runs the given Alter generator script (empty: the standard one).
+func (p *Project) build(script string) (*core.Program, error) {
 	if p.Mapping == nil {
 		return nil, fmt.Errorf("sage: project has no mapping (call MapSpread, AutoMap or SetMapping)")
 	}
-	return core.Build(p.App, p.Mapping, p.Platform, p.Nodes)
+	return core.Build(core.Spec{Model: p.App, Assign: p.Mapping, Platform: p.Platform, Nodes: p.Nodes, Script: script})
 }
 
 // Generate runs the standard Alter glue-code generator over the mapped
 // project and returns the generation artifacts.
-func (p *Project) Generate() (*GlueOutput, error) {
-	prog, err := p.Build()
-	if err != nil {
-		return nil, err
-	}
-	return prog.Artifacts, nil
-}
+func (p *Project) Generate() (*GlueOutput, error) { return p.GenerateWith("") }
 
 // GenerateWith runs a custom Alter generator script instead of the standard
-// one.
+// one (an empty script selects the standard one).
 func (p *Project) GenerateWith(script string) (*GlueOutput, error) {
-	if p.Mapping == nil {
-		return nil, fmt.Errorf("sage: project has no mapping (call MapSpread, AutoMap or SetMapping)")
-	}
-	prog, err := core.BuildWithScript(p.App, p.Mapping, p.Platform, p.Nodes, script)
+	prog, err := p.build(script)
 	if err != nil {
 		return nil, err
 	}
@@ -227,8 +221,8 @@ func (p *Project) Run(opts RunOptions) (*RunResult, error) {
 	return prog.Run(opts)
 }
 
-// RunTraced is Run with every function probed, returning the visualizer
-// trace alongside the result.
+// RunTraced is Run with a trace collector, returning the visualizer trace
+// built from it alongside the result.
 func (p *Project) RunTraced(opts RunOptions) (*RunResult, *Trace, error) {
 	prog, err := p.Build()
 	if err != nil {
